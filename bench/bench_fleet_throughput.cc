@@ -54,7 +54,7 @@ std::uint64_t Mix(std::uint64_t a, std::uint64_t b) {
   return x;
 }
 
-fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads, bool streaming = true) {
+fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads) {
   fleet::FleetConfig config;
   config.machine_count = kMachines;
   config.host_threads = fleet_threads;
@@ -65,7 +65,6 @@ fleet::FleetConfig BenchFleetConfig(std::size_t fleet_threads, bool streaming = 
   config.scenario.fusion.wake_period = 1 * kMillisecond;
   config.scenario.fusion.pages_per_wake = 256;
   config.scenario.fusion.pool_frames = 512;
-  config.scenario.fusion.scan_streaming = streaming;
   VmImageSpec base;
   base.total_pages = kGuestPages;
   VmImageSpec variant = base;
@@ -107,11 +106,11 @@ struct RunResult {
   fleet::Fleet::FootprintSummary footprint;
 };
 
-RunResult RunFleet(std::size_t fleet_threads, bool streaming = true) {
+RunResult RunFleet(std::size_t fleet_threads) {
   RunResult result;
   result.threads = fleet_threads;
   for (int repeat = 0; repeat < g_repeats; ++repeat) {
-    fleet::Fleet fleet(BenchFleetConfig(fleet_threads, streaming));
+    fleet::Fleet fleet(BenchFleetConfig(fleet_threads));
     fleet.BootAll();
 
     // Per-machine churn process: identical setup everywhere (deterministic,
@@ -168,8 +167,8 @@ RunResult RunFleet(std::size_t fleet_threads, bool streaming = true) {
       result.outcomes = std::move(outcomes);
       result.wall_seconds = wall_seconds;
       // The metrics rollup rides along on every config (the conflict-rate table
-      // reads it from the wide streaming run); the serial-cost artifacts stay
-      // threads=1 only.
+      // reads it from the widest run); the serial-cost artifacts stay threads=1
+      // only.
       result.metrics = fleet.CollectMetrics();
       if (fleet_threads == 1) {
         result.quantum_costs = fleet.quantum_costs();
@@ -323,40 +322,14 @@ void Run() {
                                 {"target", 3.0},
                                 {"basis", basis}});
 
-  // --- Streaming vs barrier scan pipeline at the widest sweep point. ---
-  // Same fleet thread count, scan_streaming off: workers re-join the full
-  // phase-1 barrier inside every Machine's quantum. Simulated outcomes must
-  // stay bit-identical (the determinism fence); the wall-clock ratio is the
-  // intra-quantum overlap recovered by streaming. Always measured — the serial
-  // critical-path projection cannot see inside a quantum.
+  // --- Speculative-hash conflicts at the widest sweep point. ---
   {
     const RunResult& wide = runs.back();
-    const RunResult barrier = RunFleet(max_threads, /*streaming=*/false);
-    if (!(barrier.outcomes == wide.outcomes)) {
-      std::fprintf(stderr,
-                   "FATAL: fleet simulated outcome differs between streaming and barrier "
-                   "pipelines at threads=%zu\n",
-                   max_threads);
-      std::exit(1);
-    }
-    const double streaming_speedup =
-        wide.wall_seconds > 0 ? barrier.wall_seconds / wide.wall_seconds : 0.0;
-    std::printf("\nstreaming vs barrier scan pipeline at %zu fleet threads: "
-                "%.3fs -> %.3fs (%.2fx, measured)\n",
-                max_threads, barrier.wall_seconds, wide.wall_seconds, streaming_speedup);
-    reporter.AddRow("streaming_speedup", {{"threads", max_threads},
-                                          {"barrier_wall_seconds", barrier.wall_seconds},
-                                          {"streaming_wall_seconds", wide.wall_seconds},
-                                          {"speedup", streaming_speedup}});
-    reporter.AddRow("headlines", {{"name", "fleet_streaming_speedup"},
-                                  {"value", streaming_speedup},
-                                  {"target", 1.0},
-                                  {"basis", "measured"}});
-
     // Per-Machine conflict rate vs churn: speculative hashes invalidated by a
     // merge mutating a not-yet-consumed frame, against that Machine's merge
     // count (the churn proxy). Host-side observability only — rates vary with
-    // interleaving; the sim outcome above already proved they never leak.
+    // interleaving; the sweep's determinism check already proved they never
+    // leak.
     std::uint64_t total_hashes = 0;
     std::uint64_t total_stale = 0;
     for (std::size_t m = 0; m < wide.outcomes.size(); ++m) {
@@ -450,8 +423,6 @@ int main(int argc, char** argv) {
   // would silently skew every run the same way and hide scaling.
   ::unsetenv("VUSION_FLEET_THREADS");
   ::unsetenv("VUSION_SCAN_THREADS");
-  ::unsetenv("VUSION_DELTA_SCAN");
-  ::unsetenv("VUSION_SCAN_STREAMING");
   ::unsetenv("VUSION_SCAN_CHUNK");
   vusion::ParseArgs(argc, argv);
   vusion::Run();

@@ -1,36 +1,24 @@
 // Host (wall-clock) scan throughput. Two experiments, one JSON:
 //
-// 1. Three scan modes on the diverse-VM scenario, best-of-N wall time per
+// 1. Two scan modes on the diverse-VM scenario, best-of-N wall time per
 //    (engine, mode) so scheduler jitter cannot invert the ratios:
 //      byte-ordered — the ablation (FusionConfig::byte_ordered_trees);
-//      fingerprint  — fingerprint-ordered trees (the committed baseline);
-//      delta        — fingerprint trees plus the epoch-based pass cache
-//                     (FusionConfig::delta_scan): steady-state passes replay
-//                     recorded conclusions for unchanged pages instead of
-//                     resolving, hashing, and descending the trees.
-//    The delta mode's simulated outcome must be bit-identical to the
-//    fingerprint mode's (the replay-ledger contract; delta_scan_test proves
-//    stats/trace/timestamps equality, the bench re-checks the stats here and
-//    aborts loudly on any divergence).
+//      fingerprint  — fingerprint-ordered trees (the default).
 //
 // 2. A --threads sweep (default 1,2,4,8) of the parallel scan pipeline
 //    (FusionConfig::scan_threads) on a churn variant of the same scenario where
 //    guests keep dirtying their unique pages, so per-wake content hashing — the
 //    phase-1 work the pipeline shards across workers — dominates the scan path.
-//    The sweep runs the streaming pipeline (FusionConfig::scan_streaming, the
-//    default) and reports its overlap accounting: phase-1 CPU time (sum of
-//    chunk times), phase-1 wall span, pure merge time, and the overlap
-//    efficiency 1 - scan_wall / (phase1_wall + merge_wall) — 0 when hashing
-//    and merging strictly serialize (the barrier), approaching the ideal as
-//    the merge consumer hides behind in-flight hash chunks. A second pass at
-//    the widest thread count re-runs each engine with scan_streaming=false and
-//    reports the streaming/barrier scan-throughput ratio; the simulated
-//    outcome must be bit-identical between the two shapes (the speculative
-//    hash is validated by generation before the memo is trusted).
+//    Every pooled cell runs the streaming pipeline (no phase hook is armed) and
+//    reports its overlap accounting: phase-1 CPU time (sum of chunk times),
+//    phase-1 wall span, pure merge time, and the overlap efficiency
+//    1 - scan_wall / (phase1_wall + merge_wall) — 0 when hashing and merging
+//    strictly serialize, approaching the ideal as the merge consumer hides
+//    behind in-flight hash chunks.
 //
 // Both experiments measure the simulator's own cost, not modeled latency:
-// simulated statistics and charged latencies are bit-identical across modes,
-// thread counts, and pipeline shapes (the bench re-checks this;
+// simulated statistics and charged latencies are bit-identical across modes
+// and thread counts (the bench re-checks this;
 // engine_parity_test proves it). The sweep reports scan-section throughput
 // from ScanTiming::scan_ns, both measured and projected: on hosts with fewer
 // cores than threads the measured wall time cannot speed up, so the critical
@@ -85,23 +73,13 @@ constexpr std::size_t kDuplicateGroups = 512;
 constexpr std::size_t kChurnGuestPages = 2048;
 constexpr SimTime kChurnStepTime = 500 * kMillisecond;
 
-// Experiment-1 scan modes, in run order. Delta rides on fingerprint trees, so
-// fingerprint is both the byte-ordered comparison's numerator and the delta
-// comparison's denominator.
-enum class ScanMode { kByteOrdered, kFingerprint, kDelta };
-constexpr std::array<ScanMode, 3> kScanModes = {
-    ScanMode::kByteOrdered, ScanMode::kFingerprint, ScanMode::kDelta};
+// Experiment-1 scan modes, in run order.
+enum class ScanMode { kByteOrdered, kFingerprint };
+constexpr std::array<ScanMode, 2> kScanModes = {ScanMode::kByteOrdered,
+                                                ScanMode::kFingerprint};
 
 const char* ModeName(ScanMode mode) {
-  switch (mode) {
-    case ScanMode::kByteOrdered:
-      return "byte-ordered";
-    case ScanMode::kFingerprint:
-      return "fingerprint";
-    case ScanMode::kDelta:
-      return "delta";
-  }
-  return "?";
+  return mode == ScanMode::kByteOrdered ? "byte-ordered" : "fingerprint";
 }
 
 struct SimOutcome {
@@ -120,15 +98,11 @@ struct RunResult {
   double wall_seconds = 0.0;
   double pages_per_second = 0.0;
   double end_to_end_seconds = 0.0;  // whole scenario incl. boot
-  // Delta runs only: engine + machine metrics (delta.* replay counters,
-  // pattern_hash_cache.*) for the JSON artifact.
-  MetricsSnapshot metrics;
 };
 
 struct SweepResult {
   std::string engine;
   std::size_t threads = 1;
-  bool streaming = true;
   SimOutcome sim;
   double wall_seconds = 0.0;        // whole churn loop (writes + scans)
   double scan_seconds = 0.0;        // scan sections only (ScanTiming::scan_ns)
@@ -136,7 +110,7 @@ struct SweepResult {
   double phase1_wall_seconds = 0.0; // phase-1 span (first resolve .. last chunk)
   double merge_wall_seconds = 0.0;  // pure merge time (excludes help/wait)
   // 1 - scan_wall / (phase1_wall + merge_wall): 0 = hashing and merging fully
-  // serialized (the barrier shape), higher = merge hidden behind hashing.
+  // serialized, higher = merge hidden behind hashing.
   double overlap_efficiency = 0.0;
   std::uint64_t speculative_hashes = 0;
   std::uint64_t speculative_stale = 0;
@@ -167,7 +141,6 @@ RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
   const auto t0 = std::chrono::steady_clock::now();
   ScenarioConfig config = ThroughputScenario(kind);
   config.fusion.byte_ordered_trees = mode == ScanMode::kByteOrdered;
-  config.fusion.delta_scan = mode == ScanMode::kDelta;
   Scenario scenario(config);
   for (std::size_t p = 0; p < kVms; ++p) {
     Process& vm = scenario.machine().CreateProcess();
@@ -193,9 +166,6 @@ RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
   result.mode_kind = mode;
   result.mode = ModeName(mode);
   result.sim = CaptureOutcome(scenario);
-  if (mode == ScanMode::kDelta) {
-    result.metrics = scenario.CollectMetrics();
-  }
   result.wall_seconds = std::chrono::duration<double>(t2 - t1).count();
   result.pages_per_second =
       result.wall_seconds > 0 ? static_cast<double>(result.sim.pages_scanned) / result.wall_seconds
@@ -204,16 +174,14 @@ RunResult RunModeOnce(EngineKind kind, ScanMode mode) {
   return result;
 }
 
-// Best-of-g_repeats wall time, with the three modes interleaved (byte, fp,
-// delta, byte, fp, delta, ...) so a slow environmental window penalizes every
-// mode equally instead of whichever happened to run inside it. Simulated
-// outcomes must agree across repeats (the simulator is deterministic), and the
-// delta mode's outcome must equal the fingerprint mode's (the replay-ledger
-// contract); the bench aborts loudly on either violation.
-std::array<RunResult, 3> RunModeSet(EngineKind kind) {
-  std::array<RunResult, 3> best = {RunModeOnce(kind, kScanModes[0]),
-                                   RunModeOnce(kind, kScanModes[1]),
-                                   RunModeOnce(kind, kScanModes[2])};
+// Best-of-g_repeats wall time, with the modes interleaved (byte, fp, byte,
+// fp, ...) so a slow environmental window penalizes every mode equally instead
+// of whichever happened to run inside it. Simulated outcomes must agree across
+// repeats (the simulator is deterministic) and across modes (the fingerprint
+// trees' contract); the bench aborts loudly on either violation.
+std::array<RunResult, 2> RunModeSet(EngineKind kind) {
+  std::array<RunResult, 2> best = {RunModeOnce(kind, kScanModes[0]),
+                                   RunModeOnce(kind, kScanModes[1])};
   for (int r = 1; r < g_repeats; ++r) {
     for (RunResult& slot : best) {
       RunResult next = RunModeOnce(kind, slot.mode_kind);
@@ -227,20 +195,18 @@ std::array<RunResult, 3> RunModeSet(EngineKind kind) {
       }
     }
   }
-  if (!(best[2].sim == best[1].sim)) {
+  if (!(best[1].sim == best[0].sim)) {
     std::fprintf(stderr,
-                 "FATAL: delta scanning changed the simulated outcome for %s "
-                 "(replay-ledger contract violated)\n",
-                 best[2].engine.c_str());
+                 "FATAL: fingerprint trees changed the simulated outcome for %s\n",
+                 best[1].engine.c_str());
     std::exit(1);
   }
   return best;
 }
 
-SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
+SweepResult RunSweepOnce(EngineKind kind, std::size_t threads) {
   ScenarioConfig config = ThroughputScenario(kind);
   config.fusion.scan_threads = threads;
-  config.fusion.scan_streaming = streaming;
   config.fusion.wpf_period = 2 * kSecond;  // several full passes within the churn window
   Scenario scenario(config);
   std::vector<std::pair<Process*, VirtAddr>> vms;
@@ -277,7 +243,6 @@ SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
   SweepResult result;
   result.engine = scenario.engine()->name();
   result.threads = threads;
-  result.streaming = streaming;
   result.sim = CaptureOutcome(scenario);
   result.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   const host::ScanTiming* timing = scenario.engine()->scan_timing();
@@ -308,10 +273,10 @@ SweepResult RunSweepOnce(EngineKind kind, std::size_t threads, bool streaming) {
   return result;
 }
 
-SweepResult RunSweep(EngineKind kind, std::size_t threads, bool streaming = true) {
-  SweepResult best = RunSweepOnce(kind, threads, streaming);
+SweepResult RunSweep(EngineKind kind, std::size_t threads) {
+  SweepResult best = RunSweepOnce(kind, threads);
   for (int r = 1; r < g_repeats; ++r) {
-    SweepResult next = RunSweepOnce(kind, threads, streaming);
+    SweepResult next = RunSweepOnce(kind, threads);
     if (!(next.sim == best.sim) || next.items != best.items) {
       std::fprintf(stderr, "FATAL: nondeterministic outcome for %s threads=%zu\n",
                    next.engine.c_str(), threads);
@@ -328,9 +293,8 @@ void Run(const std::vector<std::size_t>& thread_counts) {
   const unsigned host_cpus = std::max(1u, std::thread::hardware_concurrency());
   bench::Reporter reporter("host_throughput");
 
-  // --- Experiment 1: byte-ordered vs fingerprint vs delta (best-of-N). ---
-  reporter.Header(
-      "Host scan throughput: byte-ordered vs fingerprint trees vs delta pass cache");
+  // --- Experiment 1: byte-ordered vs fingerprint (best-of-N). ---
+  reporter.Header("Host scan throughput: byte-ordered vs fingerprint trees");
   {
     Json scenario = Json::Object();
     scenario.Set("vms", kVms);
@@ -345,7 +309,7 @@ void Run(const std::vector<std::size_t>& thread_counts) {
   std::printf("%-12s %-14s %12s %10s %14s %10s\n", "engine", "mode", "scanned", "wall(s)",
               "pages/s", "e2e(s)");
   for (const EngineKind kind : engines) {
-    std::array<RunResult, 3> set = RunModeSet(kind);
+    std::array<RunResult, 2> set = RunModeSet(kind);
     for (RunResult& r : set) {
       std::printf("%-12s %-14s %12llu %10.3f %14.0f %10.3f\n", r.engine.c_str(),
                   r.mode.c_str(), static_cast<unsigned long long>(r.sim.pages_scanned),
@@ -354,8 +318,8 @@ void Run(const std::vector<std::size_t>& thread_counts) {
     }
   }
 
-  // --- Experiment 2: scan_threads sweep on the churn scenario (streaming). ---
-  reporter.Header("Parallel scan pipeline: scan_threads sweep (churn scenario, streaming)");
+  // --- Experiment 2: scan_threads sweep on the churn scenario. ---
+  reporter.Header("Parallel scan pipeline: scan_threads sweep (churn scenario)");
   std::printf("%-12s %8s %12s %9s %9s %9s %9s %6s %12s %12s\n", "engine", "threads",
               "items", "scan(s)", "p1cpu(s)", "p1wall(s)", "merge(s)", "ovl%",
               "meas pg/s", "proj pg/s");
@@ -381,43 +345,6 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                 series.front().engine.c_str());
     sweeps.push_back(std::move(series));
   }
-
-  // --- Experiment 2b: streaming vs barrier at the widest thread count. ---
-  const std::size_t wide_threads =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
-  reporter.Header("Streaming vs barrier pipeline (churn scenario)");
-  std::printf("%-12s %8s %12s %12s %10s %12s %12s\n", "engine", "threads", "barrier(s)",
-              "stream(s)", "speedup", "spec hashes", "stale");
-  double ksm_streaming_speedup = 0.0;
-  for (std::size_t e = 0; e < engines.size(); ++e) {
-    const SweepResult& stream = sweeps[e].back();  // widest streaming cell
-    SweepResult barrier = RunSweep(engines[e], wide_threads, /*streaming=*/false);
-    if (!(barrier.sim == stream.sim) || barrier.items != stream.items) {
-      std::fprintf(stderr,
-                   "FATAL: %s simulated outcome differs between barrier and streaming "
-                   "(speculative-hash validation broken)\n",
-                   barrier.engine.c_str());
-      std::exit(1);
-    }
-    const double speedup =
-        stream.scan_seconds > 0 ? barrier.scan_seconds / stream.scan_seconds : 0.0;
-    if (barrier.engine == "KSM") {
-      ksm_streaming_speedup = speedup;
-    }
-    std::printf("%-12s %8zu %12.3f %12.3f %9.2fx %12llu %12llu\n", barrier.engine.c_str(),
-                wide_threads, barrier.scan_seconds, stream.scan_seconds, speedup,
-                static_cast<unsigned long long>(stream.speculative_hashes),
-                static_cast<unsigned long long>(stream.speculative_stale));
-    reporter.AddRow("streaming_speedup",
-                    {{"engine", barrier.engine},
-                     {"threads", wide_threads},
-                     {"barrier_scan_seconds", barrier.scan_seconds},
-                     {"streaming_scan_seconds", stream.scan_seconds},
-                     {"speedup", speedup},
-                     {"speculative_hashes", stream.speculative_hashes},
-                     {"speculative_stale", stream.speculative_stale}});
-  }
-  std::printf("  simulated outcome identical between barrier and streaming pipelines\n");
 
   const bool measured_basis =
       host_cpus >= *std::max_element(thread_counts.begin(), thread_counts.end());
@@ -446,49 +373,28 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                              {"end_to_end_seconds", r.end_to_end_seconds}});
     reporter.AddTiming(r.engine + "/" + r.mode + "_wall", r.wall_seconds * 1e3);
   }
-  std::printf(
-      "\nscan-throughput speedups (fingerprint/byte-ordered and delta/fingerprint, "
-      "best of %d):\n",
-      g_repeats);
+  std::printf("\nscan-throughput speedups (fingerprint/byte-ordered, best of %d):\n",
+              g_repeats);
   double ksm_speedup = 0.0;
-  double ksm_delta_speedup = 0.0;
-  for (std::size_t i = 0; i + 2 < results.size(); i += 3) {
+  for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
     const RunResult& bytes = results[i];
     const RunResult& hashed = results[i + 1];
-    const RunResult& delta = results[i + 2];
     const double speedup =
         bytes.pages_per_second > 0 ? hashed.pages_per_second / bytes.pages_per_second : 0.0;
-    const double delta_speedup =
-        hashed.pages_per_second > 0 ? delta.pages_per_second / hashed.pages_per_second : 0.0;
     if (bytes.engine == "KSM") {
       ksm_speedup = speedup;
-      ksm_delta_speedup = delta_speedup;
     }
-    const std::uint64_t probes = delta.metrics.CounterValue("delta.probes");
-    const std::uint64_t replays = delta.metrics.CounterValue("delta.replays");
-    std::printf("  %-12s fingerprint %.2fx  delta %.2fx  (replays %llu / probes %llu)\n",
-                bytes.engine.c_str(), speedup, delta_speedup,
-                static_cast<unsigned long long>(replays),
-                static_cast<unsigned long long>(probes));
-    reporter.AddRow("speedup", {{"engine", bytes.engine},
-                                {"speedup", speedup},
-                                {"delta_speedup", delta_speedup}});
-    reporter.AddMetrics(bytes.engine + "/delta", delta.metrics);
+    std::printf("  %-12s fingerprint %.2fx\n", bytes.engine.c_str(), speedup);
+    reporter.AddRow("speedup", {{"engine", bytes.engine}, {"speedup", speedup}});
   }
   // KSM is the headline: its scan path is pure tree matching. VUsion's scan cost
   // is dominated by per-round re-randomization (a security feature, identical in
-  // both modes), so its tree ratio stays near 1 by design, and its delta replay
-  // still pays the relocation — only the tree descend and hashing are skipped.
+  // both modes), so its tree ratio stays near 1 by design.
   std::printf("\nheadline: KSM diverse-VM scan-throughput speedup %.2fx (target >= 5x)\n",
               ksm_speedup);
   reporter.AddRow("headlines", {{"name", "ksm_fingerprint_speedup"},
                                 {"value", ksm_speedup},
                                 {"target", 5.0}});
-  std::printf("headline: KSM steady-state delta-scan speedup %.2fx (target >= 3x)\n",
-              ksm_delta_speedup);
-  reporter.AddRow("headlines", {{"name", "ksm_delta_speedup"},
-                                {"value", ksm_delta_speedup},
-                                {"target", 3.0}});
 
   double ksm_parallel = 0.0;
   for (const std::vector<SweepResult>& series : sweeps) {
@@ -533,12 +439,6 @@ void Run(const std::vector<std::size_t>& thread_counts) {
                                 {"value", ksm_parallel},
                                 {"target", 3.0},
                                 {"basis", basis}});
-  std::printf("headline: KSM streaming-vs-barrier scan speedup %.2fx at %zu threads "
-              "(target >= 1x)\n",
-              ksm_streaming_speedup, wide_threads);
-  reporter.AddRow("headlines", {{"name", "ksm_streaming_speedup"},
-                                {"value", ksm_streaming_speedup},
-                                {"target", 1.0}});
   const std::string path = reporter.WriteJson();
   if (!path.empty()) {
     std::printf("wrote %s\n", path.c_str());
@@ -584,8 +484,6 @@ std::vector<std::size_t> ParseArgs(int argc, char** argv) {
 int main(int argc, char** argv) {
   // The env overrides exist for CI; the bench owns its thread counts and modes.
   unsetenv("VUSION_SCAN_THREADS");
-  unsetenv("VUSION_DELTA_SCAN");
-  unsetenv("VUSION_SCAN_STREAMING");
   unsetenv("VUSION_SCAN_CHUNK");
   vusion::Run(vusion::ParseArgs(argc, argv));
   return 0;

@@ -55,13 +55,10 @@ struct FusionConfig {
   // ApplyEnvOverrides (used by the TSan CI job to run the whole suite threaded).
   std::size_t scan_threads = 1;
 
-  // Decoupled streaming scan (DESIGN.md §14): when a worker pool is available,
-  // overlap phase-1 hashing with the serial merge instead of joining at a
-  // barrier. Host-only — simulated results are bit-identical either way (the
-  // streaming parity cells prove it). chunk_pages sets the hash-chunk /
-  // completion-ticket granularity (0 = auto). VUSION_SCAN_STREAMING (0/1) and
-  // VUSION_SCAN_CHUNK override these via ApplyEnvOverrides.
-  bool scan_streaming = true;
+  // Hash-chunk / completion-ticket granularity of the streaming scan pipeline
+  // (DESIGN.md §14), in pages (0 = auto). Host-only — simulated results are
+  // bit-identical for every value. VUSION_SCAN_CHUNK overrides this via
+  // ApplyEnvOverrides.
   std::size_t scan_chunk_pages = 0;
 
   // Fig 4 comparison knobs (on KSM).
@@ -86,17 +83,6 @@ struct FusionConfig {
   // measures the gap; the fingerprint-parity test proves the identity.
   bool byte_ordered_trees = false;
 
-  // Epoch-based delta scanning: memoize each page's scan conclusion and, while
-  // the page's write epoch / backing frame / content generation are unchanged,
-  // replay the recorded charge-and-stats sequence instead of re-resolving the
-  // PTE, re-hashing, and re-descending the trees. Simulated stats, traces, and
-  // timestamps are bit-identical with the flag off (the delta parity suite
-  // proves it); only host wall-clock changes. Implied off when
-  // byte_ordered_trees is set (the ablation wants the reference host path).
-  // The VUSION_DELTA_SCAN environment variable (0/1) overrides this via
-  // ApplyEnvOverrides.
-  bool delta_scan = false;
-
   // Memory Combining (swap-cache-only dedup, §10.1 related work):
   std::size_t mc_low_watermark = 1024;   // swap out when free frames drop below
   std::size_t mc_swap_batch = 512;       // pages swapped per pressure episode
@@ -104,8 +90,6 @@ struct FusionConfig {
 
   // Applies recognized environment overrides (see README "Environment overrides"):
   //   VUSION_SCAN_THREADS    — scan_threads (positive integer)
-  //   VUSION_DELTA_SCAN      — delta_scan (0 or 1)
-  //   VUSION_SCAN_STREAMING  — scan_streaming (0 or 1)
   //   VUSION_SCAN_CHUNK      — scan_chunk_pages (positive integer; 0 = auto)
   // MakeEngine and Scenario call this; direct engine construction does not, so
   // building an engine never silently reads the environment.

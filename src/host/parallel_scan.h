@@ -1,10 +1,10 @@
 // Deterministic scan pipeline shared by the fusion engines, in two host
 // execution shapes (simulated results are bit-identical in both):
 //
-// Barrier (the PR-2 shape, still used when a phase hook is armed or no pool is
-// available): phase 1 shards the quantum's pages across the worker pool; each
-// worker resolves the page's PTE read-only, applies an optional engine-supplied
-// read-only filter, and computes the frame's content-hash snapshot with
+// Barrier (used when a phase hook is armed or no pool is available): phase 1
+// shards the quantum's pages across the worker pool; each worker resolves the
+// page's PTE read-only, applies an optional engine-supplied read-only filter,
+// and computes the frame's content-hash snapshot with
 // PhysicalMemory::PeekHash — no tree, stats, RNG, clock, or trace access, and no
 // writes to any simulated state. After a full join, phase 2 runs serially on the
 // calling thread in the exact order the scan cursor produced the pages: each
@@ -13,9 +13,9 @@
 // exactly as the serial reference path does.
 //
 // Streaming (the decoupled shape; DESIGN.md §14): the join barrier is gone.
-// A serial pre-pass on the calling thread performs the probe/resolve/filter
-// steps (they read pre-merge state, so they cannot overlap the merge) and
-// records each page's pre-merge content generation. Workers then hash fixed-size
+// A serial pre-pass on the calling thread performs the resolve/filter steps
+// (they read pre-merge state, so they cannot overlap the merge) and records
+// each page's pre-merge content generation. Workers then hash fixed-size
 // chunks concurrently *with the merge*, holding PhysicalMemory's scan gate
 // shared (content mutators take it exclusive), and publish completion through
 // the pool's ticket-ordered stream: chunk k is consumable once chunks 0..k are
@@ -29,9 +29,10 @@
 // snapshot costs host time only: the merge body recomputes the hash on demand,
 // charging identical simulated latencies. Conflicts are counted in ScanTiming.
 //
-// Either way, simulated stats, traces, and charged timestamps are bit-identical
-// for every thread count, chunk size, and streaming setting; see DESIGN.md,
-// "Parallel host, serial sim" and §14.
+// The shape follows from the inputs alone: streaming whenever a pool exists and
+// no phase hook needs the between-phases boundary. Either way, simulated stats,
+// traces, and charged timestamps are bit-identical for every thread count,
+// chunk size, and shape; see DESIGN.md, "Parallel host, serial sim" and §14.
 
 #ifndef VUSION_SRC_HOST_PARALLEL_SCAN_H_
 #define VUSION_SRC_HOST_PARALLEL_SCAN_H_
@@ -98,12 +99,9 @@ class ParallelScanPipeline {
   void set_pool(ThreadPool* pool) { pool_ = pool; }
   [[nodiscard]] ThreadPool* pool() const { return pool_; }
 
-  // Streaming shape toggle + chunk size in pages (0 = auto). Both host-only:
-  // simulated results are identical either way.
-  void ConfigureStreaming(bool enabled, std::size_t chunk_pages) {
-    streaming_enabled_ = enabled;
-    chunk_pages_ = chunk_pages;
-  }
+  // Streaming chunk size in pages (0 = auto). Host-only: simulated results
+  // are identical for every size.
+  void ConfigureStreaming(std::size_t chunk_pages) { chunk_pages_ = chunk_pages; }
 
   // Engine-supplied predicate deciding whether a resolved page is worth
   // hashing. Runs on worker threads in the barrier shape and on the calling
@@ -111,13 +109,6 @@ class ParallelScanPipeline {
   // merge code is concurrently mutating at evaluation time and must not write
   // anything. Null = hash every present page.
   using Phase1Filter = std::function<bool(const Pte&, const ScanItem&)>;
-
-  // Engine-supplied fast-out for delta scanning: true means the engine expects
-  // to replay this page from its pass cache, so resolving and hashing it would
-  // be wasted work. Advisory only — the merge revalidates authoritatively, and
-  // a page skipped here but rejected there simply hashes on demand. Same
-  // read-only contract as Phase1Filter.
-  using Phase1Probe = std::function<bool(const ScanItem&)>;
 
   // Runs the pipeline over `items` and invokes merge_one(item) serially for
   // every item, in order. Chunk/merge timing is accumulated into `timing` (the
@@ -130,24 +121,20 @@ class ParallelScanPipeline {
   void Run(std::vector<ScanItem>& items, ScanTiming& timing,
            const Phase1Filter& filter,
            const std::function<void(ScanItem&)>& merge_one,
-           const std::function<void()>& between_phases = nullptr,
-           const Phase1Probe& probe = nullptr);
+           const std::function<void()>& between_phases = nullptr);
 
  private:
   void ResolveAndPeek(ScanItem& item, const Phase1Filter& filter) const;
-  // Probe/resolve/filter only (no hash); records premerge_gen. The streaming
+  // Resolve/filter only (no hash); records premerge_gen. The streaming
   // pre-pass form of phase 1's serial-state reads.
-  void ResolvePreMerge(ScanItem& item, const Phase1Filter& filter,
-                       const Phase1Probe& probe) const;
+  void ResolvePreMerge(ScanItem& item, const Phase1Filter& filter) const;
   void RunBarrier(std::vector<ScanItem>& items, ScanTiming& timing,
                   const Phase1Filter& filter,
                   const std::function<void(ScanItem&)>& merge_one,
-                  const std::function<void()>& between_phases,
-                  const Phase1Probe& probe);
+                  const std::function<void()>& between_phases);
   void RunStreaming(std::vector<ScanItem>& items, ScanTiming& timing,
                     const Phase1Filter& filter,
-                    const std::function<void(ScanItem&)>& merge_one,
-                    const Phase1Probe& probe);
+                    const std::function<void(ScanItem&)>& merge_one);
   // Primes a hashed item's snapshot (conflict-checked) and counts it, then
   // hands the item to the engine. Shared by both shapes.
   void MergeOne(ScanItem& item, ScanTiming& timing,
@@ -155,7 +142,6 @@ class ParallelScanPipeline {
 
   PhysicalMemory* memory_;
   ThreadPool* pool_;
-  bool streaming_enabled_ = false;
   std::size_t chunk_pages_ = 0;  // 0 = auto
 };
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cassert>
+#include <string>
 
 namespace vusion {
 
@@ -54,20 +55,26 @@ void Process::MadviseUnmergeable(VirtAddr vaddr, std::uint64_t pages) {
   address_space_.MadviseUnmergeable(start, pages);
 }
 
-void Process::SetupMapPattern(Vpn vpn, std::uint64_t seed) {
-  // Setup scaffolding asserts on OOM, so it is exempt from fault injection
-  // (like the page-table __GFP_NOFAIL path).
+FrameId Process::AllocateSetupFrame(Vpn vpn) {
+  // Setup scaffolding treats OOM as fatal, so it is exempt from fault injection
+  // (like the page-table __GFP_NOFAIL path): only genuine exhaustion fails.
   const FaultInjector::ScopedSuppress no_chaos;
   const FrameId frame = machine_->buddy().Allocate();
-  assert(frame != kInvalidFrame && "machine out of memory during setup");
+  if (frame == kInvalidFrame) {
+    throw SetupOutOfMemory("machine out of memory during setup (pid " +
+                           std::to_string(id_) + ", vpn " + std::to_string(vpn) + ")");
+  }
+  return frame;
+}
+
+void Process::SetupMapPattern(Vpn vpn, std::uint64_t seed) {
+  const FrameId frame = AllocateSetupFrame(vpn);
   machine_->memory().FillPattern(frame, seed);
   address_space_.MapPage(vpn, frame, kPtePresent | kPteWritable);
 }
 
 void Process::SetupMapZero(Vpn vpn) {
-  const FaultInjector::ScopedSuppress no_chaos;
-  const FrameId frame = machine_->buddy().Allocate();
-  assert(frame != kInvalidFrame && "machine out of memory during setup");
+  const FrameId frame = AllocateSetupFrame(vpn);
   machine_->memory().FillZero(frame);
   address_space_.MapPage(vpn, frame, kPtePresent | kPteWritable);
 }

@@ -7,11 +7,20 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 
 #include "src/kernel/machine.h"
 #include "src/mmu/address_space.h"
 
 namespace vusion {
+
+// Thrown by SetupMapPattern/SetupMapZero when the machine has no free frame
+// left: booting more guest memory than frame_count fails closed, naming the
+// process and page, instead of mapping an invalid frame.
+class SetupOutOfMemory : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class Process {
  public:
@@ -40,8 +49,10 @@ class Process {
   // --- Untimed setup population (the "VM boots with this image" path) ---
 
   // Maps vpn to a fresh frame filled with the pattern expansion of `seed`.
+  // Throws SetupOutOfMemory if no frame is free.
   void SetupMapPattern(Vpn vpn, std::uint64_t seed);
-  // Maps vpn to a fresh zero-filled frame.
+  // Maps vpn to a fresh zero-filled frame. Throws SetupOutOfMemory if no frame
+  // is free.
   void SetupMapZero(Vpn vpn);
   // Maps a 512-page-aligned huge page backed by a fresh contiguous block; subpage i
   // gets pattern seed seeds_base + i. Returns false if no contiguous block exists.
@@ -70,6 +81,9 @@ class Process {
   void set_next_region_vpn(Vpn vpn) { next_region_vpn_ = vpn; }
 
  private:
+  // A fresh frame for setup population; throws SetupOutOfMemory naming vpn.
+  FrameId AllocateSetupFrame(Vpn vpn);
+
   Machine* machine_;
   std::uint32_t id_;
   AddressSpace address_space_;

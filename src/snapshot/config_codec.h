@@ -132,7 +132,6 @@ inline void WriteFusionConfig(SnapshotWriter& w, const FusionConfig& c) {
   w.U64(c.wake_period);
   w.U64(c.pages_per_wake);
   w.U64(c.scan_threads);
-  w.Bool(c.scan_streaming);
   w.U64(c.scan_chunk_pages);
   w.Bool(c.zero_pages_only);
   w.Bool(c.unmerge_on_any_access);
@@ -144,7 +143,6 @@ inline void WriteFusionConfig(SnapshotWriter& w, const FusionConfig& c) {
   w.Bool(c.thp_aware);
   w.U64(c.wpf_period);
   w.Bool(c.byte_ordered_trees);
-  w.Bool(c.delta_scan);
   w.U64(c.mc_low_watermark);
   w.U64(c.mc_swap_batch);
   w.F64(c.mc_compression_ratio);
@@ -155,7 +153,6 @@ inline FusionConfig ReadFusionConfig(SnapshotReader& r) {
   c.wake_period = r.U64();
   c.pages_per_wake = static_cast<std::size_t>(r.U64());
   c.scan_threads = static_cast<std::size_t>(r.U64());
-  c.scan_streaming = r.Bool();
   c.scan_chunk_pages = static_cast<std::size_t>(r.U64());
   c.zero_pages_only = r.Bool();
   c.unmerge_on_any_access = r.Bool();
@@ -167,7 +164,6 @@ inline FusionConfig ReadFusionConfig(SnapshotReader& r) {
   c.thp_aware = r.Bool();
   c.wpf_period = r.U64();
   c.byte_ordered_trees = r.Bool();
-  c.delta_scan = r.Bool();
   c.mc_low_watermark = static_cast<std::size_t>(r.U64());
   c.mc_swap_batch = static_cast<std::size_t>(r.U64());
   c.mc_compression_ratio = r.F64();

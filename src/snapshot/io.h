@@ -28,9 +28,12 @@
 namespace vusion::snapshot {
 
 inline constexpr std::uint64_t kMagic = 0x53535653'4e4f4953ull;  // "SIONVSSS"
-// v2: FusionConfig gained scan_streaming + scan_chunk_pages (decoupled
-// streaming scan pipeline). v1 images predate the fields and fail closed.
-inline constexpr std::uint32_t kVersion = 2;
+// v2: FusionConfig gained the streaming scan pipeline's shape toggle and chunk
+// size. v3: FusionConfig lost the delta-scanning flag and the shape toggle
+// (the shape now follows from hook and pool), and the Machine and engine
+// sections lost the delta scanner's write epochs and pass caches. Older images
+// fail closed.
+inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 20;  // magic + version + count + crc
 
 // Structured restore failure: carries the name of the section (or "header")

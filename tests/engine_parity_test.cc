@@ -262,12 +262,7 @@ INSTANTIATE_TEST_SUITE_P(KsmVUsionMc, FingerprintParityTest,
 // and the final timestamp bit-identical — including across CoW unmerges, THP
 // splits, and trace emits that read the clock mid-scan.
 
-struct BatchingParam {
-  EngineKind kind;
-  bool delta;
-};
-
-FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) {
+FingerprintResult RunBatchingScenario(EngineKind kind, bool batched) {
   MachineConfig machine_config;
   machine_config.frame_count = 1u << 14;
   machine_config.seed = 7;
@@ -278,8 +273,7 @@ FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) 
   fusion_config.pages_per_wake = 256;
   fusion_config.pool_frames = 1024;
   fusion_config.wpf_period = 20 * kMillisecond;
-  fusion_config.delta_scan = param.delta;
-  ScopedEngine engine(param.kind, machine, fusion_config);
+  ScopedEngine engine(kind, machine, fusion_config);
 
   constexpr std::size_t kVms = 3;
   constexpr std::size_t kPages = 128;
@@ -327,7 +321,7 @@ FingerprintResult RunBatchingScenario(const BatchingParam& param, bool batched) 
   return result;
 }
 
-class BatchingParityTest : public ::testing::TestWithParam<BatchingParam> {};
+class BatchingParityTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
   const FingerprintResult batched = RunBatchingScenario(GetParam(), /*batched=*/true);
@@ -348,18 +342,15 @@ TEST_P(BatchingParityTest, BatchedAndUnbatchedChargesAreBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, BatchingParityTest,
-    ::testing::Values(BatchingParam{EngineKind::kKsm, false},
-                      BatchingParam{EngineKind::kKsm, true},
-                      BatchingParam{EngineKind::kVUsion, false},
-                      BatchingParam{EngineKind::kWpf, false}),
-    [](const ::testing::TestParamInfo<BatchingParam>& info) {
-      std::string name = EngineKindName(info.param.kind);
+    ::testing::Values(EngineKind::kKsm, EngineKind::kVUsion, EngineKind::kWpf),
+    [](const ::testing::TestParamInfo<EngineKind>& info) {
+      std::string name = EngineKindName(info.param);
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
           c = '_';
         }
       }
-      return name + (info.param.delta ? "_delta" : "");
+      return name;
     });
 
 // --- Serial-vs-parallel scan parity ---
@@ -377,8 +368,11 @@ struct ThreadedResult {
   std::vector<TraceEvent> trace;
 };
 
+// `barrier` arms a no-op phase hook. KSM and VUsion then announce the kHashed
+// boundary, which forces their pooled scans into the barrier shape; WPF hashes
+// before its boundary either way, so its cells only add the hook's flushes.
 ThreadedResult RunThreadedScenario(EngineKind kind, std::uint64_t seed,
-                                   std::size_t threads, bool streaming = true,
+                                   std::size_t threads, bool barrier = false,
                                    std::size_t chunk_pages = 0) {
   MachineConfig machine_config;
   machine_config.frame_count = 1u << 14;
@@ -391,9 +385,11 @@ ThreadedResult RunThreadedScenario(EngineKind kind, std::uint64_t seed,
   fusion_config.pool_frames = 1024;
   fusion_config.wpf_period = 10 * kMillisecond;
   fusion_config.scan_threads = threads;
-  fusion_config.scan_streaming = streaming;
   fusion_config.scan_chunk_pages = chunk_pages;
   ScopedEngine engine(kind, machine, fusion_config);
+  if (barrier) {
+    engine->SetPhaseHook([](FusionEngine&, ScanPhase) {});
+  }
 
   constexpr std::size_t kVms = 3;
   constexpr std::size_t kPages = 128;
@@ -476,7 +472,6 @@ class ScanThreadsParityTest : public ::testing::TestWithParam<ThreadedParam> {
     // The TSan CI job forces scan_threads via the environment; this test owns the
     // thread count explicitly, so drop the override for the comparison to be real.
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_SCAN_STREAMING");
     unsetenv("VUSION_SCAN_CHUNK");
   }
 };
@@ -511,24 +506,25 @@ TEST_P(ScanThreadsParityTest, SerialAndParallelScansAreBitIdentical) {
 }
 
 // The streaming pipeline (speculative hash + validated merge, DESIGN.md §14)
-// must be bit-identical to the barrier shape and to the serial reference for
-// every chunk size and thread count: chunk=1 maximizes handoff traffic and
-// merge/hash interleaving, chunk=16 is a mid-grain, chunk >= pages_per_wake
-// degenerates to one chunk (barrier-like), chunk=0 is the auto heuristic.
+// must be bit-identical to the barrier shape (a phase hook is armed) and to the
+// serial reference for every chunk size and thread count: chunk=1 maximizes
+// handoff traffic and merge/hash interleaving, chunk=16 is a mid-grain,
+// chunk >= pages_per_wake degenerates to one chunk (barrier-like), chunk=0 is
+// the auto heuristic.
 TEST_P(ScanThreadsParityTest, StreamingAndBarrierPipelinesAreBitIdentical) {
   const ThreadedParam param = GetParam();
   const ThreadedResult reference =
-      RunThreadedScenario(param.kind, param.seed, 1, /*streaming=*/false);
+      RunThreadedScenario(param.kind, param.seed, 1, /*barrier=*/true);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     // Barrier shape at this thread count.
     ExpectThreadedResultsEqual(
-        reference, RunThreadedScenario(param.kind, param.seed, threads, false),
+        reference, RunThreadedScenario(param.kind, param.seed, threads, true),
         "barrier threads=" + std::to_string(threads));
     // Streaming shape across chunk sizes (256 = pages_per_wake: whole quantum).
     for (const std::size_t chunk :
          {std::size_t{1}, std::size_t{16}, std::size_t{256}, std::size_t{0}}) {
       ExpectThreadedResultsEqual(
-          reference, RunThreadedScenario(param.kind, param.seed, threads, true, chunk),
+          reference, RunThreadedScenario(param.kind, param.seed, threads, false, chunk),
           "streaming threads=" + std::to_string(threads) +
               " chunk=" + std::to_string(chunk));
     }

@@ -48,14 +48,17 @@ struct MachineResult {
 
 std::vector<MachineResult> RunFleet(std::size_t fleet_threads, std::size_t scan_threads,
                                     bool chaos_in_machine0 = false,
-                                    bool scan_streaming = true,
+                                    bool barrier = false,
                                     std::size_t scan_chunk_pages = 0) {
   fleet::FleetConfig config = SmallFleetConfig(fleet_threads, scan_threads);
-  config.scenario.fusion.scan_streaming = scan_streaming;
   config.scenario.fusion.scan_chunk_pages = scan_chunk_pages;
   fleet::Fleet fleet(config);
   for (std::size_t m = 0; m < fleet.size(); ++m) {
     fleet.member(m).machine().trace().set_enabled(true);
+    if (barrier) {
+      // An armed phase hook forces the barrier scan shape.
+      fleet.member(m).engine()->SetPhaseHook([](FusionEngine&, ScanPhase) {});
+    }
   }
   if (chaos_in_machine0) {
     ChaosConfig chaos;
@@ -106,8 +109,6 @@ class FleetParityTest : public ::testing::Test {
   void SetUp() override {
     unsetenv("VUSION_FLEET_THREADS");
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_DELTA_SCAN");
-    unsetenv("VUSION_SCAN_STREAMING");
     unsetenv("VUSION_SCAN_CHUNK");
   }
 };
@@ -149,25 +150,25 @@ TEST_F(FleetParityTest, StreamingScanCellsBitIdenticalToSerial) {
   const std::vector<MachineResult> reference = RunFleet(1, 1);
   struct Cell {
     std::size_t fleet_threads, scan_threads;
-    bool streaming;
+    bool barrier;
     std::size_t chunk;
   };
   const Cell cells[] = {
-      {8, 1, true, 1},   // fleet pool drives streaming despite scan_threads=1
-      {2, 4, true, 1},   // max handoff traffic
-      {8, 4, true, 0},   // auto chunk
-      {8, 4, false, 0},  // barrier shape under the shared fleet pool
+      {8, 1, false, 1},  // fleet pool drives streaming despite scan_threads=1
+      {2, 4, false, 1},  // max handoff traffic
+      {8, 4, false, 0},  // auto chunk
+      {8, 4, true, 0},   // barrier shape under the shared fleet pool
   };
   for (const Cell& cell : cells) {
     const std::vector<MachineResult> run =
-        RunFleet(cell.fleet_threads, cell.scan_threads, false, cell.streaming, cell.chunk);
+        RunFleet(cell.fleet_threads, cell.scan_threads, false, cell.barrier, cell.chunk);
     ASSERT_EQ(run.size(), reference.size());
     for (std::size_t m = 0; m < reference.size(); ++m) {
       ExpectMachineResultsEqual(
           reference[m], run[m],
           "machine " + std::to_string(m) + " fleet_threads=" +
               std::to_string(cell.fleet_threads) + " scan_threads=" +
-              std::to_string(cell.scan_threads) + (cell.streaming ? " streaming" : " barrier") +
+              std::to_string(cell.scan_threads) + (cell.barrier ? " barrier" : " streaming") +
               " chunk=" + std::to_string(cell.chunk));
     }
   }

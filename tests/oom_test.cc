@@ -6,6 +6,8 @@
 #include "src/fusion/ksm.h"
 #include "src/fusion/vusion_engine.h"
 #include "src/kernel/process.h"
+#include "src/workload/scenario.h"
+#include "src/workload/vm_image.h"
 
 namespace vusion {
 namespace {
@@ -120,6 +122,28 @@ TEST(OomTest, SoakChurnWithFusionNearCapacity) {
     EXPECT_EQ(engine.stable_size(), 0u);
   }
   engine.Uninstall();
+}
+
+// Booting more guest memory than the machine has fails closed: the setup path
+// throws a named error instead of mapping an invalid frame (which segfaulted
+// in builds without assertions).
+TEST(OomTest, BootPastFrameCountThrows) {
+  ScenarioConfig config;
+  config.engine = EngineKind::kVUsion;
+  config.machine.frame_count = 1u << 15;
+  config.fusion.pool_frames = 4096;
+  Scenario scenario(config);
+  ASSERT_NO_THROW(scenario.BootVm(VmImage::CatalogImage(0), 100));
+  try {
+    for (std::size_t i = 1; i < 3; ++i) {
+      scenario.BootVm(VmImage::CatalogImage(i), 100 + i);
+    }
+    ADD_FAILURE() << "three catalog guests fit in 128 MB";
+  } catch (const SetupOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pid 1,"), std::string::npos) << what;
+    EXPECT_NE(what.find("vpn"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -39,14 +39,14 @@ struct PipelineRun {
 // merging item 0 rewrites the LAST item's frame — hashed speculatively long
 // before its merge slot under small chunks — so the stream must detect the
 // stale snapshot and recompute.
-PipelineRun RunPipeline(ThreadPool* pool, bool streaming, std::size_t chunk_pages,
+PipelineRun RunPipeline(ThreadPool* pool, std::size_t chunk_pages,
                         bool conflict) {
   PhysicalMemory memory(kFrames);
   for (std::size_t f = 0; f < kFrames; ++f) {
     memory.FillPattern(static_cast<FrameId>(f), 0x9000 + f);
   }
   ParallelScanPipeline pipeline(memory, pool);
-  pipeline.ConfigureStreaming(streaming, chunk_pages);
+  pipeline.ConfigureStreaming(chunk_pages);
   std::vector<ScanItem> items = MakeItems();
   PipelineRun run;
   const auto merge_one = [&](ScanItem& item) {
@@ -62,12 +62,12 @@ PipelineRun RunPipeline(ThreadPool* pool, bool streaming, std::size_t chunk_page
 TEST(ParallelScanPipelineTest, ForcedConflictDetectedAndResultsBitIdentical) {
   // Serial reference: no pool, barrier shape, nothing speculative.
   const PipelineRun reference =
-      RunPipeline(nullptr, /*streaming=*/false, 0, /*conflict=*/true);
+      RunPipeline(nullptr, 0, /*conflict=*/true);
   ASSERT_EQ(reference.hashes.size(), kFrames);
 
   ThreadPool pool(4);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{16}}) {
-    const PipelineRun streamed = RunPipeline(&pool, true, chunk, true);
+    const PipelineRun streamed = RunPipeline(&pool, chunk, true);
     EXPECT_EQ(streamed.hashes, reference.hashes) << "chunk=" << chunk;
     EXPECT_EQ(streamed.timing.streamed_batches, 1u) << "chunk=" << chunk;
     // The mutated frame's speculative snapshot is stale no matter when the
@@ -82,8 +82,8 @@ TEST(ParallelScanPipelineTest, ForcedConflictDetectedAndResultsBitIdentical) {
 
 TEST(ParallelScanPipelineTest, QuietStreamHasNoStaleSnapshots) {
   ThreadPool pool(4);
-  const PipelineRun reference = RunPipeline(nullptr, false, 0, /*conflict=*/false);
-  const PipelineRun streamed = RunPipeline(&pool, true, 4, /*conflict=*/false);
+  const PipelineRun reference = RunPipeline(nullptr, 0, /*conflict=*/false);
+  const PipelineRun streamed = RunPipeline(&pool, 4, /*conflict=*/false);
   EXPECT_EQ(streamed.hashes, reference.hashes);
   EXPECT_EQ(streamed.timing.speculative_stale, 0u);
   EXPECT_EQ(streamed.timing.speculative_hashes, static_cast<std::uint64_t>(kFrames));
@@ -91,14 +91,14 @@ TEST(ParallelScanPipelineTest, QuietStreamHasNoStaleSnapshots) {
 
 TEST(ParallelScanPipelineTest, BetweenPhasesHookForcesBarrierShape) {
   // The kHashed phase boundary only exists in the barrier shape, so arming a
-  // between-phases hook must suppress streaming even when it is enabled.
+  // between-phases hook must suppress streaming even with a pool installed.
   ThreadPool pool(4);
   PhysicalMemory memory(kFrames);
   for (std::size_t f = 0; f < kFrames; ++f) {
     memory.FillPattern(static_cast<FrameId>(f), 0x9000 + f);
   }
   ParallelScanPipeline pipeline(memory, &pool);
-  pipeline.ConfigureStreaming(true, 1);
+  pipeline.ConfigureStreaming(1);
   std::vector<ScanItem> items = MakeItems();
   ScanTiming timing;
   int boundary_calls = 0;
@@ -115,8 +115,8 @@ TEST(ParallelScanPipelineTest, SingleThreadPoolStreamsViaConsumerHelp) {
   // scan_threads=1 still streams when an external (fleet) pool is installed;
   // with no free workers the consumer self-completes via HelpStream.
   ThreadPool pool(1);
-  const PipelineRun reference = RunPipeline(nullptr, false, 0, true);
-  const PipelineRun streamed = RunPipeline(&pool, true, 8, true);
+  const PipelineRun reference = RunPipeline(nullptr, 0, true);
+  const PipelineRun streamed = RunPipeline(&pool, 8, true);
   EXPECT_EQ(streamed.hashes, reference.hashes);
   EXPECT_EQ(streamed.timing.streamed_batches, 1u);
   EXPECT_GE(streamed.timing.speculative_stale, 1u);

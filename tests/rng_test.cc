@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
+
+#include "src/sim/ks_test.h"
 
 namespace vusion {
 namespace {
@@ -154,12 +158,24 @@ TEST_P(RngBoundTest, NextBelowRespectsBound) {
 
 TEST_P(RngBoundTest, NextBelowCoversRangeRoughlyUniformly) {
   const std::uint64_t bound = GetParam();
-  if (bound > 64) {
-    GTEST_SKIP() << "coverage check only for small bounds";
-  }
   Rng rng(29 + bound);
-  std::vector<int> counts(bound, 0);
   const int n = 20000;
+  if (bound > 64) {
+    // Too many values to count each one: compare NextBelow(bound)/bound against
+    // an evenly spaced sample of [0, 1) with the two-sample KS test instead.
+    std::vector<double> drawn;
+    std::vector<double> even;
+    drawn.reserve(n);
+    even.reserve(n);
+    for (int i = 0; i < n; ++i) {
+      drawn.push_back(static_cast<double>(rng.NextBelow(bound)) / static_cast<double>(bound));
+      even.push_back((i + 0.5) / n);
+    }
+    const KsResult ks = KsTwoSample(std::move(drawn), std::move(even));
+    EXPECT_GT(ks.p_value, 0.01) << "D=" << ks.statistic;
+    return;
+  }
+  std::vector<int> counts(bound, 0);
   for (int i = 0; i < n; ++i) {
     ++counts[rng.NextBelow(bound)];
   }

@@ -1,9 +1,9 @@
 // Corrupted-snapshot fuzzing (DESIGN.md §13): every way a snapshot buffer can
 // be damaged — truncation at and inside every section, single-bit flips in the
-// header and in each payload, future-version headers, dropped sections,
-// semantically invalid fields behind a valid checksum — must fail closed with
-// a structured RestoreError naming the offending section. No crash, no silent
-// partial restore, and the restore target stays untouched.
+// header and in each payload, future- and previous-version headers, dropped
+// sections, semantically invalid fields behind a valid checksum — must fail
+// closed with a structured RestoreError naming the offending section. No crash,
+// no silent partial restore, and the restore target stays untouched.
 
 #include <gtest/gtest.h>
 
@@ -156,18 +156,30 @@ TEST_F(SnapshotCorruptionTest, PayloadBitFlipsNameTheDamagedSection) {
   }
 }
 
-TEST_F(SnapshotCorruptionTest, FutureVersionRejected) {
+// Any header version other than the current one fails closed: a future format,
+// and the previous one (v2 images still carry the delta-scanning and
+// shape-toggle config fields and the delta scanner's state).
+class SnapshotVersionTest : public SnapshotCorruptionTest,
+                            public ::testing::WithParamInterface<std::uint32_t> {};
+
+TEST_P(SnapshotVersionTest, OtherVersionRejected) {
   std::string buffer = image();
-  WriteLeU32(buffer, 8, snapshot::kVersion + 1);  // version field follows the magic
+  WriteLeU32(buffer, 8, GetParam());  // version field follows the magic
   buffer = SealHeader(buffer);
   try {
     snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
-    ADD_FAILURE() << "future-version snapshot restored";
+    ADD_FAILURE() << "version " << GetParam() << " snapshot restored";
   } catch (const snapshot::RestoreError& e) {
     EXPECT_EQ(e.section(), "header");
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(FutureAndPrevious, SnapshotVersionTest,
+                         ::testing::Values(snapshot::kVersion + 1, snapshot::kVersion - 1),
+                         [](const ::testing::TestParamInfo<std::uint32_t>& info) {
+                           return "v" + std::to_string(info.param);
+                         });
 
 TEST_F(SnapshotCorruptionTest, BadMagicRejected) {
   std::string buffer = FlipBit(image(), 0, 0);
@@ -179,12 +191,12 @@ TEST_F(SnapshotCorruptionTest, UnknownEngineKindBehindValidChecksumRejected) {
   const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(image());
   const auto& config = info.sections.front();
   ASSERT_EQ(config.name, "config");
-  // The engine-kind byte sits just before the 89-byte FusionConfig record at
-  // the end of the "config" payload (see WriteFusionConfig: 10 U64/F64 + 9
-  // Bool fields as of snapshot v2).
-  const std::size_t kind_delta = config.size - 89 - 1;
+  // The engine-kind byte sits just before the 87-byte FusionConfig record at
+  // the end of the "config" payload (see WriteFusionConfig: 10 U64/F64 + 7
+  // Bool fields as of snapshot v3).
+  const std::size_t kind_offset = config.size - 87 - 1;
   const std::string buffer =
-      PatchSealedByte(image(), config, kind_delta, static_cast<char>(0xC8));
+      PatchSealedByte(image(), config, kind_offset, static_cast<char>(0xC8));
   ExpectRestoreError(buffer, "config", "unknown engine kind behind valid CRC");
 }
 

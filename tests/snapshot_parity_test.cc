@@ -2,8 +2,8 @@
 // into a brand-new (Machine, engine) pair, and continuing the workload must be
 // bit-identical — stats, traces, timestamps, RNG streams — to never having
 // stopped. Checked as byte equality of the final snapshots across every engine
-// × scan-thread × delta-scan cell, plus restore→immediate-resave idempotence
-// and fork-style fan-out divergence-only-through-inputs.
+// × scan-thread cell and both pipeline shapes, plus restore→immediate-resave
+// idempotence and fork-style fan-out divergence-only-through-inputs.
 
 #include <gtest/gtest.h>
 
@@ -27,18 +27,22 @@ constexpr int kPhaseSteps = 300;
 struct Cell {
   EngineKind kind;
   std::size_t threads;
-  bool delta;
-  // Scan pipeline shape (scan_streaming defaults on in FusionConfig, so the
-  // plain cells above already stream; these make the shapes explicit).
-  bool streaming = true;
+  // Pooled scans stream unless a phase hook is armed; a barrier cell arms a
+  // no-op hook on every engine it runs, which forces the barrier shape.
+  bool barrier = false;
   std::size_t chunk_pages = 0;
 };
 
 std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(EngineKindName(info.param.kind)) + "T" +
-         std::to_string(info.param.threads) + (info.param.delta ? "DeltaOn" : "DeltaOff") +
-         (info.param.streaming ? "" : "Barrier") +
+         std::to_string(info.param.threads) + (info.param.barrier ? "Barrier" : "") +
          (info.param.chunk_pages != 0 ? "C" + std::to_string(info.param.chunk_pages) : "");
+}
+
+void ArmShape(const Cell& cell, FusionEngine* engine) {
+  if (cell.barrier) {
+    engine->SetPhaseHook([](FusionEngine&, ScanPhase) {});
+  }
 }
 
 MachineConfig MakeMachineConfig() {
@@ -55,8 +59,6 @@ FusionConfig MakeFusionConfig(const Cell& cell) {
   config.pool_frames = 1024;
   config.wpf_period = 10 * kMillisecond;
   config.scan_threads = cell.threads;
-  config.delta_scan = cell.delta;
-  config.scan_streaming = cell.streaming;
   config.scan_chunk_pages = cell.chunk_pages;
   return config;
 }
@@ -161,6 +163,7 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
     std::unique_ptr<FusionEngine> engine =
         MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
     engine->Install();
+    ArmShape(cell, engine.get());
     bases = SetupProcesses(machine);
     RunPhase(machine, bases, kPhase1Seed);
     RunPhase(machine, bases, kPhase2Seed);
@@ -175,6 +178,7 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
     std::unique_ptr<FusionEngine> engine =
         MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
     engine->Install();
+    ArmShape(cell, engine.get());
     const std::vector<VirtAddr> bases_b = SetupProcesses(machine);
     ASSERT_EQ(bases_b, bases) << "boot sequence must be deterministic";
     RunPhase(machine, bases, kPhase1Seed);
@@ -196,6 +200,7 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
   {
     snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(midpoint);
     ASSERT_EQ(restored.kind, cell.kind);
+    ArmShape(cell, restored.engine.get());
     RunPhase(*restored.machine, bases, kPhase2Seed);
     // The continuation must also leave a consistent machine behind.
     const AuditReport report =
@@ -213,19 +218,15 @@ TEST_P(SnapshotParityTest, SaveRestoreContinueIsBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     EngineMatrix, SnapshotParityTest,
-    ::testing::Values(Cell{EngineKind::kKsm, 1, false}, Cell{EngineKind::kKsm, 1, true},
-                      Cell{EngineKind::kKsm, 4, false}, Cell{EngineKind::kKsm, 4, true},
-                      Cell{EngineKind::kWpf, 1, false}, Cell{EngineKind::kWpf, 1, true},
-                      Cell{EngineKind::kWpf, 4, false}, Cell{EngineKind::kWpf, 4, true},
-                      Cell{EngineKind::kVUsion, 1, false}, Cell{EngineKind::kVUsion, 1, true},
-                      Cell{EngineKind::kVUsion, 4, false}, Cell{EngineKind::kVUsion, 4, true},
+    ::testing::Values(Cell{EngineKind::kKsm, 1}, Cell{EngineKind::kKsm, 4},
+                      Cell{EngineKind::kWpf, 1}, Cell{EngineKind::kWpf, 4},
+                      Cell{EngineKind::kVUsion, 1}, Cell{EngineKind::kVUsion, 4},
                       // Explicit pipeline shapes: barrier, and streaming at the
                       // maximally-interleaved chunk size.
-                      Cell{EngineKind::kKsm, 4, false, false, 0},
-                      Cell{EngineKind::kKsm, 4, false, true, 1},
-                      Cell{EngineKind::kVUsion, 4, false, false, 0},
-                      Cell{EngineKind::kVUsion, 4, false, true, 1},
-                      Cell{EngineKind::kWpf, 4, false, true, 1}),
+                      Cell{EngineKind::kKsm, 4, true, 0}, Cell{EngineKind::kKsm, 4, false, 1},
+                      Cell{EngineKind::kVUsion, 4, true, 0},
+                      Cell{EngineKind::kVUsion, 4, false, 1},
+                      Cell{EngineKind::kWpf, 4, false, 1}),
     CellName);
 
 // The determinism fence (DESIGN.md §14): hash-memo validity is serialized in
@@ -236,15 +237,16 @@ INSTANTIATE_TEST_SUITE_P(
 // may legitimately differ between the serial path and the pipelined path —
 // phase 1 primes pages the serial body skips before hashing — which is fine:
 // savestate determinism is per config.) Checked as byte equality of every
-// snapshot section except "config" (which records the shape knobs themselves)
-// between barrier and chunk=1 streaming runs of the same campaign.
+// snapshot section except "config" (which records the chunk size) between
+// barrier and chunk=1 streaming runs of the same campaign.
 TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
-  const auto save_with = [](bool streaming, std::size_t chunk) {
-    Cell cell{EngineKind::kKsm, 4, false, streaming, chunk};
+  const auto save_with = [](bool barrier, std::size_t chunk) {
+    Cell cell{EngineKind::kKsm, 4, barrier, chunk};
     Machine machine(MakeMachineConfig());
     std::unique_ptr<FusionEngine> engine =
         MakeEngineExact(cell.kind, machine, MakeFusionConfig(cell));
     engine->Install();
+    ArmShape(cell, engine.get());
     const std::vector<VirtAddr> bases = SetupProcesses(machine);
     RunPhase(machine, bases, kPhase1Seed);
     std::string image = snapshot::SaveSnapshot(machine, engine.get(), cell.kind);
@@ -260,9 +262,9 @@ TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
     }
     return out;
   };
-  const auto barrier = sections_except_config(save_with(false, 0));
+  const auto barrier = sections_except_config(save_with(true, 0));
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{0}}) {
-    const auto streamed = sections_except_config(save_with(true, chunk));
+    const auto streamed = sections_except_config(save_with(false, chunk));
     ASSERT_EQ(barrier.size(), streamed.size());
     for (std::size_t i = 0; i < barrier.size(); ++i) {
       EXPECT_EQ(barrier[i].first, streamed[i].first);
@@ -277,7 +279,7 @@ TEST(SnapshotParityTest, StreamingShapeDoesNotLeakIntoSnapshotBytes) {
 // deep copies — identical inputs keep them bit-identical, divergent inputs
 // diverge only the machine they were applied to.
 TEST(SnapshotFanOutTest, ClonesAreIndependentAndDeterministic) {
-  const Cell cell{EngineKind::kVUsion, 1, false};
+  const Cell cell{EngineKind::kVUsion, 1};
   std::string image;
   std::vector<VirtAddr> bases;
   {
@@ -331,7 +333,7 @@ TEST(SnapshotParityBaselineTest, NoEngineRoundTrip) {
 // recorded schedule have to resume exactly, or the fault stream after restore
 // drifts from the straight run's.
 TEST(SnapshotChaosTest, FaultInjectorStateRoundTrips) {
-  const Cell cell{EngineKind::kVUsion, 1, false};
+  const Cell cell{EngineKind::kVUsion, 1};
   auto boot_chaos = [](Machine& machine) {
     ChaosConfig config;
     config.seed = 5;
@@ -378,7 +380,7 @@ TEST(SnapshotChaosTest, FaultInjectorStateRoundTrips) {
 // Idle-split identity through a snapshot: Idle(a) → save/restore → Idle(b)
 // must equal Idle(a+b) straight through, including daemon wakeups in between.
 TEST(SnapshotParityBaselineTest, IdleSplitAcrossSnapshotIsIdentity) {
-  const Cell cell{EngineKind::kKsm, 1, false};
+  const Cell cell{EngineKind::kKsm, 1};
   std::string straight;
   {
     Machine machine(MakeMachineConfig());

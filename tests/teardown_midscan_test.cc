@@ -24,7 +24,6 @@ class TeardownMidScanTest : public ::testing::TestWithParam<TeardownParam> {
  protected:
   void SetUp() override {
     unsetenv("VUSION_SCAN_THREADS");
-    unsetenv("VUSION_SCAN_STREAMING");
     unsetenv("VUSION_SCAN_CHUNK");
   }
 };
