@@ -84,9 +84,14 @@ void CheckAudit(Machine& machine, FusionEngine* engine) {
 }
 
 struct AuditParam {
+  AuditParam(EngineKind kind_in, std::uint64_t seed_in) : kind(kind_in), seed(seed_in) {}
   EngineKind kind;
+  // gtest names each case by the parameter's raw bytes; an explicit zeroed field
+  // keeps implicit padding (whatever the stack held) out of those names.
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(AuditParam) == 16, "AuditParam must have no implicit padding");
 
 class FrameAuditTest : public ::testing::TestWithParam<AuditParam> {};
 
