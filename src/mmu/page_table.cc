@@ -1,6 +1,7 @@
 #include "src/mmu/page_table.h"
 
 #include <cassert>
+#include <string>
 
 #include "src/chaos/fault_injector.h"
 
@@ -8,7 +9,7 @@ namespace vusion {
 
 PageTable::PageTable(FrameAllocator& allocator, PhysicalMemory& memory)
     : allocator_(&allocator), memory_(&memory) {
-  root_ = NewNode(kPageTableLevels - 1);
+  root_ = NewNode(kPageTableLevels - 1, 0);
 }
 
 PageTable::~PageTable() {
@@ -17,15 +18,19 @@ PageTable::~PageTable() {
   }
 }
 
-std::unique_ptr<PageTable::Node> PageTable::NewNode(int level) {
-  auto node = std::make_unique<Node>();
-  node->level = level;
+std::unique_ptr<PageTable::Node> PageTable::NewNode(int level, Vpn vpn) {
   // Page-table node allocations are the simulator's __GFP_NOFAIL path: the
   // kernel cannot tolerate losing a translation level, so fault injection is
   // suppressed here (the allocation still fails on genuine exhaustion).
   const FaultInjector::ScopedSuppress no_chaos;
-  node->frame = allocator_->Allocate();
-  assert(node->frame != kInvalidFrame && "out of memory for page tables");
+  const FrameId frame = allocator_->Allocate();
+  if (frame == kInvalidFrame) {
+    throw PageTableOutOfMemory("out of memory for a level-" + std::to_string(level) +
+                               " page-table node (vpn " + std::to_string(vpn) + ")");
+  }
+  auto node = std::make_unique<Node>();
+  node->level = level;
+  node->frame = frame;
   if (level > 0) {
     node->children.resize(kPtFanout);
   }
@@ -61,7 +66,7 @@ Pte* PageTable::ResolveSlow(Vpn vpn, bool create) {
         if (!create) {
           return nullptr;
         }
-        child = NewNode(level - 1);
+        child = NewNode(level - 1, vpn);
       }
       pmd = child.get();
     }
@@ -79,7 +84,7 @@ Pte* PageTable::ResolveSlow(Vpn vpn, bool create) {
       memo_leaf_ = nullptr;
       return nullptr;
     }
-    leaf = NewNode(0);
+    leaf = NewNode(0, vpn);
   }
   memo_leaf_ = leaf.get();
   return &leaf->entries[IndexAt(vpn, 0)];
@@ -129,7 +134,7 @@ void PageTable::MapHuge(Vpn vpn, FrameId frame_base, std::uint16_t flags) {
   for (int level = kPageTableLevels - 1; level >= 2; --level) {
     std::unique_ptr<Node>& child = node->children[IndexAt(vpn, level)];
     if (child == nullptr) {
-      child = NewNode(level - 1);
+      child = NewNode(level - 1, vpn);
     }
     node = child.get();
   }
@@ -156,7 +161,7 @@ bool PageTable::SplitHuge(Vpn vpn) {
   if (!pmd.huge()) {
     return false;
   }
-  auto leaf = NewNode(0);
+  auto leaf = NewNode(0, base);
   const auto small_flags = static_cast<std::uint16_t>(pmd.flags & ~kPteHuge);
   for (std::size_t i = 0; i < kPagesPerHugePage; ++i) {
     leaf->entries[i] = Pte{static_cast<FrameId>(pmd.frame + i), small_flags};

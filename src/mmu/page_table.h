@@ -11,6 +11,7 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "src/cache/llc.h"
@@ -28,6 +29,14 @@ namespace snapshot {
 class SnapshotWriter;
 class SnapshotReader;
 }  // namespace snapshot
+
+// Thrown when no frame is left for a page-table node. The kernel cannot run
+// without a translation level, so this fails closed, naming the level and the
+// vpn being mapped, instead of keeping a node backed by kInvalidFrame.
+class PageTableOutOfMemory : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 class PageTable {
  public:
@@ -47,8 +56,9 @@ class PageTable {
   PageTable& operator=(const PageTable&) = delete;
 
   // Resolves a VPN to its PTE slot. With create=true, intermediate tables are
-  // allocated on demand. Returns nullptr if absent (create=false). If the VPN is
-  // covered by a huge mapping, the PMD entry is returned.
+  // allocated on demand (throwing PageTableOutOfMemory if none can be).
+  // Returns nullptr if absent (create=false). If the VPN is covered by a huge
+  // mapping, the PMD entry is returned.
   //
   // The non-const overload memoizes the last PMD-level and leaf nodes, so the
   // scanners' sequential walks touch one node instead of four — and a repeat
@@ -102,7 +112,9 @@ class PageTable {
     std::vector<Pte> entries;                     // leaf PTEs, or PMD huge entries
   };
 
-  std::unique_ptr<Node> NewNode(int level);
+  // Throws PageTableOutOfMemory if no frame is free; `vpn` is the mapping
+  // that needs the node (0 for the root).
+  std::unique_ptr<Node> NewNode(int level, Vpn vpn);
   void FreeNode(Node* node);
   Pte* ResolveSlow(Vpn vpn, bool create);
   static std::size_t IndexAt(Vpn vpn, int level) {

@@ -75,13 +75,20 @@ void Tlb::RestoreState(snapshot::SnapshotReader& r) {
   lru_.clear();
   map_.clear();
   const std::uint64_t n = r.Count(14);
+  // A repeated vpn or an overfull list would leave list nodes the map cannot
+  // reach, which a later eviction turns into a dangling translation.
+  if (n > capacity_) {
+    throw snapshot::RestoreError("procs", "TLB holds more entries than its capacity");
+  }
   for (std::uint64_t i = 0; i < n; ++i) {
     Entry entry;
     entry.vpn = r.U64();
     entry.pte.frame = r.U32();
     entry.pte.flags = r.U16();
     lru_.push_back(entry);
-    map_[entry.vpn] = std::prev(lru_.end());
+    if (!map_.emplace(entry.vpn, std::prev(lru_.end())).second) {
+      throw snapshot::RestoreError("procs", "repeated vpn in TLB");
+    }
   }
   hits_ = r.U64();
   misses_ = r.U64();

@@ -18,11 +18,13 @@
 #define VUSION_SRC_SNAPSHOT_IO_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace vusion::snapshot {
@@ -53,98 +55,123 @@ class RestoreError : public std::runtime_error {
 
 namespace detail {
 
-inline const std::array<std::uint32_t, 256>& Crc32Table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
+using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: tables[0] is
+// the classic bytewise table, and tables[k][b] is the CRC contribution of byte
+// b followed by k zero bytes, so eight table lookups fold one 8-byte word.
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    return t;
-  }();
-  return table;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
+
+inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 }  // namespace detail
 
+// The format is little-endian on disk and every fixed-width field is copied
+// with one memcpy, which is only correct on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot codec assumes a little-endian host");
+
+// Standard CRC-32 (reflected 0xEDB88320, init and final xor 0xFFFFFFFF).
 inline std::uint32_t Crc32(const void* data, std::size_t size) {
-  const auto& table = detail::Crc32Table();
+  const auto& t = detail::kCrc32Tables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFF] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes, sizeof(word));
+    const std::uint32_t lo = static_cast<std::uint32_t>(word) ^ crc;
+    const std::uint32_t hi = static_cast<std::uint32_t>(word >> 32);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^
+          t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
-// Accumulates named, checksummed sections; Finish() prepends the header.
+// Writes named, checksummed sections straight into one output buffer whose
+// first kHeaderBytes are reserved for the header; Finish() fills it in.
 class SnapshotWriter {
  public:
+  SnapshotWriter() : out_(kHeaderBytes, '\0') {}
+
   // --- Section framing ---
 
+  // Writes the frame's name and a payload-length placeholder; the payload
+  // follows in place.
   void BeginSection(std::string_view name) {
-    AppendLe<std::uint16_t>(frames_, static_cast<std::uint16_t>(name.size()));
-    frames_.append(name.data(), name.size());
-    payload_.clear();
-    in_section_ = true;
+    AppendLe(static_cast<std::uint16_t>(name.size()));
+    out_.append(name.data(), name.size());
+    length_pos_ = out_.size();
+    AppendLe(std::uint64_t{0});
   }
 
+  // Patches the payload length and appends the payload's CRC.
   void EndSection() {
-    AppendLe<std::uint64_t>(frames_, payload_.size());
-    frames_.append(payload_);
-    AppendLe<std::uint32_t>(frames_, Crc32(payload_.data(), payload_.size()));
-    payload_.clear();
-    in_section_ = false;
+    const std::size_t payload_pos = length_pos_ + sizeof(std::uint64_t);
+    const std::uint64_t payload_len = out_.size() - payload_pos;
+    StoreLe(out_.data() + length_pos_, payload_len);
+    AppendLe(Crc32(out_.data() + payload_pos, payload_len));
     ++section_count_;
   }
 
   // --- Primitives (all little-endian; doubles are bit-exact) ---
 
-  void U8(std::uint8_t v) { AppendLe(payload_, v); }
-  void U16(std::uint16_t v) { AppendLe(payload_, v); }
-  void U32(std::uint32_t v) { AppendLe(payload_, v); }
-  void U64(std::uint64_t v) { AppendLe(payload_, v); }
-  void I64(std::int64_t v) { AppendLe(payload_, static_cast<std::uint64_t>(v)); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AppendLe(payload_, bits);
-  }
+  void U8(std::uint8_t v) { AppendLe(v); }
+  void U16(std::uint16_t v) { AppendLe(v); }
+  void U32(std::uint32_t v) { AppendLe(v); }
+  void U64(std::uint64_t v) { AppendLe(v); }
+  void I64(std::int64_t v) { AppendLe(v); }
+  void F64(double v) { AppendLe(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void Bytes(const void* data, std::size_t size) {
-    payload_.append(static_cast<const char*>(data), size);
+    out_.append(static_cast<const char*>(data), size);
   }
   void Str(std::string_view s) {
     U32(static_cast<std::uint32_t>(s.size()));
-    payload_.append(s.data(), s.size());
+    out_.append(s.data(), s.size());
   }
 
-  [[nodiscard]] std::string Finish() const {
-    std::string out;
-    out.reserve(kHeaderBytes + frames_.size());
-    AppendLe<std::uint64_t>(out, kMagic);
-    AppendLe<std::uint32_t>(out, kVersion);
-    AppendLe<std::uint32_t>(out, section_count_);
-    AppendLe<std::uint32_t>(out, Crc32(out.data(), out.size()));
-    out.append(frames_);
-    return out;
+  // Fills in the header and hands over the buffer; the writer is spent.
+  [[nodiscard]] std::string Finish() && {
+    char* header = out_.data();
+    StoreLe(header, kMagic);
+    StoreLe(header + 8, kVersion);
+    StoreLe(header + 12, section_count_);
+    StoreLe(header + 16, Crc32(header, kHeaderBytes - sizeof(std::uint32_t)));
+    return std::move(out_);
   }
 
  private:
   template <typename T>
-  static void AppendLe(std::string& dst, T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      dst.push_back(static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF));
-    }
+  static void StoreLe(char* dst, T v) {
+    std::memcpy(dst, &v, sizeof(T));
   }
 
-  std::string frames_;
-  std::string payload_;
+  template <typename T>
+  void AppendLe(T v) {
+    out_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+  }
+
+  std::string out_;
+  std::size_t length_pos_ = 0;
   std::uint32_t section_count_ = 0;
-  bool in_section_ = false;
 };
 
 // Validates the whole snapshot up front, then serves sections strictly in
@@ -192,13 +219,8 @@ class SnapshotReader {
   std::uint16_t U16() { return ReadLe<std::uint16_t>(); }
   std::uint32_t U32() { return ReadLe<std::uint32_t>(); }
   std::uint64_t U64() { return ReadLe<std::uint64_t>(); }
-  std::int64_t I64() { return static_cast<std::int64_t>(ReadLe<std::uint64_t>()); }
-  double F64() {
-    const std::uint64_t bits = ReadLe<std::uint64_t>();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+  std::int64_t I64() { return ReadLe<std::int64_t>(); }
+  double F64() { return ReadLe<double>(); }
   bool Bool() { return U8() != 0; }
   void Bytes(void* out, std::size_t size) {
     Need(size);
@@ -278,12 +300,10 @@ class SnapshotReader {
 
   template <typename T>
   T PeekLe(std::size_t& pos) const {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[pos + i])) << (8 * i);
-    }
+    T v{};
+    std::memcpy(&v, data_.data() + pos, sizeof(T));
     pos += sizeof(T);
-    return static_cast<T>(v);
+    return v;
   }
 
   void Need(std::size_t size) {
@@ -295,12 +315,10 @@ class SnapshotReader {
   template <typename T>
   T ReadLe() {
     Need(sizeof(T));
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data_[cursor_ + i])) << (8 * i);
-    }
+    T v{};
+    std::memcpy(&v, data_.data() + cursor_, sizeof(T));
     cursor_ += sizeof(T);
-    return static_cast<T>(v);
+    return v;
   }
 
   std::string_view data_;

@@ -64,7 +64,7 @@ std::string SaveSnapshot(Machine& machine, FusionEngine* engine, EngineKind kind
     engine->SaveState(w);
     w.EndSection();
   }
-  return w.Finish();
+  return std::move(w).Finish();
 }
 
 RestoredMachine RestoreSnapshot(std::string_view buffer) {

@@ -27,9 +27,14 @@ void ExpectAuditClean(Machine& machine, FusionEngine* engine) {
 }
 
 struct ParityParam {
+  ParityParam(EngineKind kind_in, std::uint64_t seed_in) : kind(kind_in), seed(seed_in) {}
   EngineKind kind;
+  // gtest names each case by the parameter's raw bytes; an explicit zeroed field
+  // keeps implicit padding (whatever the stack held) out of those names.
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(ParityParam) == 16, "ParityParam must have no implicit padding");
 
 class EngineParityTest : public ::testing::TestWithParam<ParityParam> {};
 
@@ -462,9 +467,14 @@ void ExpectThreadedResultsEqual(const ThreadedResult& want, const ThreadedResult
 }
 
 struct ThreadedParam {
+  ThreadedParam(EngineKind kind_in, std::uint64_t seed_in) : kind(kind_in), seed(seed_in) {}
   EngineKind kind;
+  // gtest names each case by the parameter's raw bytes; an explicit zeroed field
+  // keeps implicit padding (whatever the stack held) out of those names.
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(ThreadedParam) == 16, "ThreadedParam must have no implicit padding");
 
 class ScanThreadsParityTest : public ::testing::TestWithParam<ThreadedParam> {
  protected:

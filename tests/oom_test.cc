@@ -146,5 +146,32 @@ TEST(OomTest, BootPastFrameCountThrows) {
   }
 }
 
+// A fault that gets the last free frame for its data page but then needs a
+// new page-table node fails closed with a named error. Without the check the
+// node kept kInvalidFrame, and a later timed walk fed an address near 2^44
+// into the LLC model.
+TEST(OomTest, PageTableNodeExhaustionThrows) {
+  MachineConfig machine_config;
+  machine_config.frame_count = 512;
+  Machine machine(machine_config);
+  Process& p = machine.CreateProcess();
+  const VirtAddr hog = p.AllocateRegion(512, PageType::kAnonymous, false, false);
+  for (std::size_t i = 0; machine.buddy().free_count() > 1; ++i) {
+    p.SetupMapZero(VaddrToVpn(hog) + i);
+  }
+  ASSERT_EQ(machine.buddy().free_count(), 1u);
+  // A fresh 2 MB-aligned region: its first touch needs a new leaf table.
+  const VirtAddr fresh = p.AllocateRegion(1, PageType::kAnonymous, false, false);
+  try {
+    p.Write64(fresh, 1);
+    ADD_FAILURE() << "a page-table node was allocated from an empty machine";
+  } catch (const PageTableOutOfMemory& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("level-0"), std::string::npos) << what;
+    EXPECT_NE(what.find("vpn " + std::to_string(VaddrToVpn(fresh)) + ")"), std::string::npos)
+        << what;
+  }
+}
+
 }  // namespace
 }  // namespace vusion

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/fusion/engine_factory.h"
@@ -68,6 +71,21 @@ std::string PatchSealedByte(std::string buffer, const snapshot::SnapshotReader::
   return buffer;
 }
 
+// Swaps a section's whole payload for `payload` (any length): rewrites the
+// frame's length field and re-seals its checksum.
+std::string ResealSection(const std::string& buffer,
+                          const snapshot::SnapshotReader::SectionInfo& s,
+                          const std::string& payload) {
+  std::string out = buffer.substr(0, s.offset - sizeof(std::uint64_t));
+  const std::uint64_t size = payload.size();
+  out.append(reinterpret_cast<const char*>(&size), sizeof(size));
+  out += payload;
+  out.append(4, '\0');
+  WriteLeU32(out, out.size() - 4, snapshot::Crc32(payload.data(), payload.size()));
+  out += buffer.substr(s.offset + s.size + 4);
+  return out;
+}
+
 // Re-seals the header CRC after editing the first 16 header bytes.
 std::string SealHeader(std::string buffer) {
   WriteLeU32(buffer, 16, snapshot::Crc32(buffer.data(), 16));
@@ -75,7 +93,7 @@ std::string SealHeader(std::string buffer) {
 }
 
 void ExpectRestoreError(const std::string& buffer, const std::string& want_section,
-                        const std::string& context) {
+                        const std::string& context, const std::string& want_detail = "") {
   try {
     snapshot::RestoredMachine restored = snapshot::RestoreSnapshot(buffer);
     ADD_FAILURE() << context << ": corrupted snapshot restored without error";
@@ -84,6 +102,8 @@ void ExpectRestoreError(const std::string& buffer, const std::string& want_secti
     if (!want_section.empty()) {
       EXPECT_EQ(e.section(), want_section) << context << ": " << e.what();
     }
+    EXPECT_NE(std::string(e.what()).find(want_detail), std::string::npos)
+        << context << ": " << e.what();
   } catch (const std::exception& e) {
     ADD_FAILURE() << context << ": wrong exception type: " << e.what();
   }
@@ -244,6 +264,83 @@ TEST_F(SnapshotCorruptionTest, RestoreOntoUsedMachineRefused) {
   const VirtAddr base = proc.AllocateRegion(1, PageType::kAnonymous, true, false);
   proc.Write64(base, 42);
   EXPECT_EQ(proc.Read64(base), 42u);
+}
+
+// A machine without an engine whose one process has read `pages` pages in
+// order, so its TLB holds min(pages, capacity) entries, page 0 least recent.
+struct TlbImage {
+  std::string image;
+  std::vector<std::pair<Vpn, Pte>> pages;  // every mapped page's live PTE
+};
+
+TlbImage MakeTlbImage(std::size_t pages) {
+  Machine machine(MakeMachineConfig());
+  Process& proc = machine.CreateProcess();
+  const VirtAddr base = proc.AllocateRegion(pages, PageType::kAnonymous, false, false);
+  TlbImage out;
+  for (std::size_t i = 0; i < pages; ++i) {
+    proc.SetupMapPattern(VaddrToVpn(base) + i, 0x7000 + i);
+  }
+  for (std::size_t i = 0; i < pages; ++i) {
+    (void)proc.Read64(base + i * kPageSize);
+    const Vpn vpn = VaddrToVpn(base) + i;
+    out.pages.emplace_back(vpn, *proc.address_space().GetPte(vpn));
+  }
+  out.image = snapshot::SaveSnapshot(machine, nullptr, EngineKind::kNone);
+  EXPECT_NO_THROW(snapshot::VerifySnapshot(out.image));
+  return out;
+}
+
+// The last process's TLB closes the "procs" payload: entry count u64, then
+// per entry vpn u64 | frame u32 | flags u16 (MRU first), then hits and misses.
+constexpr std::size_t kTlbEntryBytes = 14;
+
+std::size_t TlbCountOffset(const std::string& procs_payload, std::uint64_t entries) {
+  const std::size_t pos = procs_payload.size() - 16 - entries * kTlbEntryBytes - 8;
+  std::uint64_t stored = 0;
+  std::memcpy(&stored, procs_payload.data() + pos, sizeof(stored));
+  EXPECT_EQ(stored, entries) << "TLB block not where expected";
+  return pos;
+}
+
+std::string TlbEntry(Vpn vpn, const Pte& pte) {
+  std::string out(kTlbEntryBytes, '\0');
+  std::memcpy(out.data(), &vpn, 8);
+  std::memcpy(out.data() + 8, &pte.frame, 4);
+  std::memcpy(out.data() + 12, &pte.flags, 2);
+  return out;
+}
+
+TEST_F(SnapshotCorruptionTest, RepeatedTlbVpnBehindValidChecksumRejected) {
+  const TlbImage tlb = MakeTlbImage(4);
+  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(tlb.image);
+  const auto& procs = *std::find_if(info.sections.begin(), info.sections.end(),
+                                    [](const auto& s) { return s.name == "procs"; });
+  std::string payload = tlb.image.substr(procs.offset, procs.size);
+  const std::size_t first = TlbCountOffset(payload, 4) + 8;
+  // Entry 1 becomes a copy of entry 0: both agree with the page table, so only
+  // the TLB's own restore can notice that one vpn is cached twice.
+  payload.replace(first + kTlbEntryBytes, kTlbEntryBytes, payload, first, kTlbEntryBytes);
+  ExpectRestoreError(ResealSection(tlb.image, procs, payload), "procs",
+                     "repeated TLB vpn behind valid CRC", "repeated vpn");
+}
+
+TEST_F(SnapshotCorruptionTest, OverfullTlbBehindValidChecksumRejected) {
+  const std::size_t capacity = kDefaultTlbEntries;
+  const TlbImage tlb = MakeTlbImage(capacity + 1);
+  const snapshot::SnapshotInfo info = snapshot::InspectSnapshot(tlb.image);
+  const auto& procs = *std::find_if(info.sections.begin(), info.sections.end(),
+                                    [](const auto& s) { return s.name == "procs"; });
+  std::string payload = tlb.image.substr(procs.offset, procs.size);
+  const std::size_t count_pos = TlbCountOffset(payload, capacity);
+  // Page 0 was evicted; append its (valid) translation as the LRU entry and
+  // bump the count past capacity.
+  const auto& [evicted_vpn, evicted_pte] = tlb.pages.front();
+  payload.insert(count_pos + 8 + capacity * kTlbEntryBytes, TlbEntry(evicted_vpn, evicted_pte));
+  const std::uint64_t count = capacity + 1;
+  std::memcpy(payload.data() + count_pos, &count, sizeof(count));
+  ExpectRestoreError(ResealSection(tlb.image, procs, payload), "procs",
+                     "overfull TLB behind valid CRC", "more entries than its capacity");
 }
 
 TEST_F(SnapshotCorruptionTest, IntactImageStillRestoresAfterAllFailures) {
