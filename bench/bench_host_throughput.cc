@@ -29,9 +29,9 @@
 // headline. Results go to stdout and BENCH_host_throughput.json.
 //
 // --quick shrinks the run for CI regression gating (1 repeat, shorter simulated
-// windows, a 1,8 thread sweep). Rates and speedup ratios stay comparable to the
-// full run; absolute page counts do not — tools/bench_diff.py compares only the
-// ratio tables for exactly this reason.
+// windows, a 1,8 thread sweep). The shorter window moves the ratios too, so CI
+// diffs a quick run only against the committed quick baseline
+// (BENCH_host_throughput_quick.json), never against the full-run artifact.
 
 #include <algorithm>
 #include <array>
@@ -457,7 +457,7 @@ std::vector<std::size_t> ParseArgs(int argc, char** argv) {
   }
   if (quick) {
     // CI regression gate: one repeat, short simulated windows, sweep endpoints
-    // only. Rates and ratios stay comparable to the full run; raw counts don't.
+    // only. Compared only with a quick baseline (see the header comment).
     g_repeats = 1;
     g_run_time = 20 * kSecond;
     g_churn_steps = 8;

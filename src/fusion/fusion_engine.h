@@ -18,13 +18,18 @@ namespace vusion {
 
 // Boundaries inside one scan wake-up at which the outside world (chaos
 // campaigns, tests) may intervene — e.g. tear down a VM mid-scan. Engines
-// announce each boundary through the phase hook; after kBatchCollected and
-// kHashed the engine re-validates its batch against the live process table, so
-// a hook destroying a process is safe at every announced point.
+// announce each boundary through the phase hook. Every engine announces
+// kQuantumStart and kQuantumEnd. kBatchCollected and kHashed exist only where
+// a wake-up works on a batch: WPF always (it collects and hashes a whole pass
+// before merging), KSM and VUsion only on the pooled scan pipeline (the
+// Machine has a host pool). After each of the two the engine re-validates its
+// batch against the live process table, so a hook destroying a process is
+// safe at every announced point. The serial KSM/VUsion loop scans page by
+// page and announces neither, so no hook runs mid-quantum there.
 enum class ScanPhase : std::uint8_t {
   kQuantumStart,    // wake-up began, nothing collected yet
-  kBatchCollected,  // candidate batch chosen, before hashing
-  kHashed,          // content hashed, before any merge decision
+  kBatchCollected,  // candidate batch chosen, before hashing (batching paths only)
+  kHashed,          // content hashed, before any merge decision (batching paths only)
   kQuantumEnd,      // wake-up finished, state quiescent
 };
 

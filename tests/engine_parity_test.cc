@@ -370,7 +370,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 struct ThreadedResult {
   FingerprintResult base;
-  std::vector<TraceEvent> trace;
+  std::vector<TraceEvent> trace;  // the ring: the newest events, up to its capacity
+  std::uint64_t trace_emitted = 0;
 };
 
 // `barrier` arms a no-op phase hook. KSM and VUsion then announce the kHashed
@@ -441,6 +442,7 @@ ThreadedResult RunThreadedScenario(EngineKind kind, std::uint64_t seed,
   result.base.frames_saved = engine->frames_saved();
   result.base.final_time = machine.clock().now();
   result.trace = machine.trace().Events();
+  result.trace_emitted = machine.trace().total_emitted();
   ExpectAuditClean(machine, engine.get());
   return result;
 }
@@ -559,6 +561,100 @@ INSTANTIATE_TEST_SUITE_P(
         }
       }
       return name + "_s" + std::to_string(info.param.seed);
+    });
+
+// --- Serial scan golden digests ---
+//
+// ScanThreadsParityTest proves every pooled shape equal to the serial path, but
+// not that the serial path itself stays put. These cases fold the serial
+// reference's stats, saved frames, trace (the lifetime event count and every
+// event the ring still holds), and final clock value into one digest and
+// compare it against recorded constants, so a refactor of the scan drivers
+// that moves a single charge, RNG draw, or event fails here. Each engine runs
+// with and without a no-op phase hook (the hook's flushes must not move
+// anything either).
+
+// FNV-1a over every compared value, in a fixed order.
+std::uint64_t Digest(const ThreadedResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  };
+  mix(r.base.pages_scanned);
+  mix(r.base.merges);
+  mix(r.base.fake_merges);
+  mix(r.base.unmerges_cow);
+  mix(r.base.unmerges_coa);
+  mix(r.base.zero_page_merges);
+  mix(r.base.full_scans);
+  mix(r.base.frames_saved);
+  mix(r.base.final_time);
+  mix(r.trace_emitted);
+  mix(r.trace.size());
+  for (const TraceEvent& e : r.trace) {
+    mix(e.time);
+    mix(static_cast<std::uint64_t>(e.type));
+    mix(e.process_id);
+    mix(e.vpn);
+    mix(e.frame);
+  }
+  return h;
+}
+
+struct SerialGolden {
+  EngineKind kind;
+  // A u32 rather than a bool: gtest prints the parameter's raw bytes into the
+  // case name, so the struct must have no implicit padding.
+  std::uint32_t phase_hook;
+  std::uint64_t trace_emitted;
+  SimTime final_time;
+  std::uint64_t digest;
+};
+static_assert(sizeof(SerialGolden) == 32, "SerialGolden must have no implicit padding");
+
+class SerialScanGoldenTest : public ::testing::TestWithParam<SerialGolden> {
+ protected:
+  void SetUp() override {
+    unsetenv("VUSION_SCAN_THREADS");
+    unsetenv("VUSION_SCAN_CHUNK");
+  }
+};
+
+TEST_P(SerialScanGoldenTest, StatsTraceAndClockMatchRecordedDigest) {
+  const SerialGolden golden = GetParam();
+  const ThreadedResult result = RunThreadedScenario(golden.kind, /*seed=*/1, /*threads=*/1,
+                                                    /*barrier=*/golden.phase_hook != 0);
+  // The scenario must exercise fusion and unmerge churn, not digest no-ops.
+  EXPECT_GT(result.base.merges + result.base.fake_merges, 0u);
+  EXPECT_GT(result.base.unmerges_cow + result.base.unmerges_coa, 0u);
+  EXPECT_EQ(result.trace_emitted, golden.trace_emitted);
+  EXPECT_EQ(result.base.final_time, golden.final_time);
+  EXPECT_EQ(Digest(result), golden.digest)
+      << std::hex << "digest 0x" << Digest(result) << std::dec << " emitted "
+      << result.trace_emitted << " final_time " << result.base.final_time;
+}
+
+// Recorded from the serial reference path; changing one of these constants
+// re-baselines simulated output.
+INSTANTIATE_TEST_SUITE_P(
+    ScanningEngines, SerialScanGoldenTest,
+    ::testing::Values(
+        SerialGolden{EngineKind::kKsm, 0, 239, 619267283, 0x799583e02b49045aull},
+        SerialGolden{EngineKind::kKsm, 1, 239, 619267283, 0x799583e02b49045aull},
+        SerialGolden{EngineKind::kWpf, 0, 259, 503854850, 0xfed52d2106b1f61cull},
+        SerialGolden{EngineKind::kWpf, 1, 259, 503854850, 0xfed52d2106b1f61cull},
+        SerialGolden{EngineKind::kVUsion, 0, 77692, 517219112, 0xbf2173898d51ee64ull},
+        SerialGolden{EngineKind::kVUsion, 1, 77692, 517219112, 0xbf2173898d51ee64ull}),
+    [](const ::testing::TestParamInfo<SerialGolden>& info) {
+      std::string name = EngineKindName(info.param.kind);
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) {
+          c = '_';
+        }
+      }
+      return name + (info.param.phase_hook != 0 ? "_hook" : "");
     });
 
 // Savings comparison: with heavy duplication, every fusing engine must save a

@@ -25,13 +25,21 @@ constexpr std::uint64_t kPhase2Seed = 2222;
 constexpr int kPhaseSteps = 300;
 
 struct Cell {
+  Cell(EngineKind kind_in, std::size_t threads_in, bool barrier_in = false,
+       std::size_t chunk_pages_in = 0)
+      : kind(kind_in), threads(threads_in), barrier(barrier_in), chunk_pages(chunk_pages_in) {}
   EngineKind kind;
+  // gtest names each case by the parameter's raw bytes; explicit zeroed fields
+  // keep implicit padding (whatever the stack held) out of those names.
+  std::uint32_t padding0 = 0;
   std::size_t threads;
   // Pooled scans stream unless a phase hook is armed; a barrier cell arms a
   // no-op hook on every engine it runs, which forces the barrier shape.
-  bool barrier = false;
-  std::size_t chunk_pages = 0;
+  bool barrier;
+  std::uint8_t padding1[7] = {};
+  std::size_t chunk_pages;
 };
+static_assert(sizeof(Cell) == 32, "Cell must have no implicit padding");
 
 std::string CellName(const ::testing::TestParamInfo<Cell>& info) {
   return std::string(EngineKindName(info.param.kind)) + "T" +

@@ -6,9 +6,10 @@ Usage: bench_diff.py BASELINE CANDIDATE [--regress-pct PCT] [--table NAME ...]
 Compares the *ratio* tables of two schema-version-1 artifacts emitted by
 bench::Reporter (see tools/check_bench_json.py for the shape). Ratios —
 fingerprint-vs-byte-ordered speedup, parallel scan speedup, fleet stepping
-speedup, and the headline values — are stable across machines and across
---quick/full runs, unlike absolute page counts or wall seconds, so they are
-the only values this tool judges. A candidate cell more than --regress-pct
+speedup, and the headline values — travel across machines far better than
+absolute page counts or wall seconds, so they are the only values this tool
+judges. They still move with the simulated window, so diff a --quick run
+against a --quick baseline and a full run against a full one. A candidate cell more than --regress-pct
 percent below the baseline cell is a regression (all ratio metrics here are
 higher-is-better); a baseline row missing from the candidate is a coverage
 regression. Either exits non-zero.
